@@ -3,7 +3,9 @@
 Exit codes: 0 for success or agreement, 1 for a verified disagreement,
 2 for usage, configuration or input-document errors, 3 for a
 computation precondition failure (unstable configuration, enumeration
-limit, unknown label).
+limit, unknown label), 4 for an internal error (any other exception,
+such as a recursion overflow), reported as one ``error: internal:``
+line instead of a traceback.
 
 Output is deterministic: rows are emitted in grid order regardless of
 --jobs, integers are rendered as decimal strings in JSON, and booleans
@@ -33,6 +35,7 @@ from .fusion import builtin_g2_level1, load_fusion
 from .noleaf import count_noleaf_subgraphs, load_simple_graph, moebius_ladder
 from .ranks import (
     StabilityError,
+    check_bruteforce_limit,
     load_dual_graph,
     rank_bruteforce,
     rank_graph,
@@ -45,6 +48,7 @@ EXIT_OK = 0
 EXIT_DISAGREE = 1
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
+EXIT_INTERNAL = 4
 
 BUILTIN_RING = "builtin:g2l1"
 
@@ -260,6 +264,9 @@ def cmd_verify(args) -> tuple[str, int]:
 def cmd_graph_rank(args) -> tuple[str, int]:
     ring = _load_ring(args.fusion)
     graph = _load_graph_file(args.graph)
+    if args.oracle:
+        # refuse an oracle run past its guard before the engine does any work
+        check_bruteforce_limit(ring, graph)
     r = rank_graph(ring, graph)
     if not args.oracle:
         if args.format == "json":
@@ -452,6 +459,11 @@ def main(argv=None) -> int:
     except FusionRankError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except Exception as exc:
+        # exit 1 means a verified disagreement, so a crash must not use it
+        detail = " ".join(str(exc).split())
+        print(f"error: internal: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
     try:
         _emit(text, args.output)

@@ -308,6 +308,21 @@ def _rank_graph_oriented(ring, graph, flipped_edges) -> int:
     return total
 
 
+def check_bruteforce_limit(ring: FusionData, graph: DualGraph) -> None:
+    """Refuse a graph whose oracle run would exceed BRUTE_FORCE_LIMIT labelings.
+
+    The oracle labels every edge plus one loop per unit of vertex genus,
+    so the count is |labels| ** (edges + total vertex genus).
+    """
+    base = len(ring.labels)
+    extra = sum(v.genus for v in graph.vertices)
+    work = base ** (len(graph.edges) + extra)
+    if work > BRUTE_FORCE_LIMIT:
+        raise EnumerationLimitError(
+            f"{work} labelings exceed the brute-force limit of {BRUTE_FORCE_LIMIT}"
+        )
+
+
 def rank_bruteforce(ring: FusionData, graph: DualGraph) -> int:
     """Independent oracle for rank_graph.
 
@@ -317,13 +332,7 @@ def rank_bruteforce(ring: FusionData, graph: DualGraph) -> int:
     the trailing weight pair and caches on exact tuples, deliberately
     disjoint from the sorted-multiset cache of the main engine.
     """
-    base = len(ring.labels)
-    extra = sum(v.genus for v in graph.vertices)
-    work = base ** (len(graph.edges) + extra)
-    if work > BRUTE_FORCE_LIMIT:
-        raise EnumerationLimitError(
-            f"{work} labelings exceed the brute-force limit of {BRUTE_FORCE_LIMIT}"
-        )
+    check_bruteforce_limit(ring, graph)
     for vertex in graph.vertices:
         _check_labels(ring, vertex.legs)
 

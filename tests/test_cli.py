@@ -1,5 +1,7 @@
 import json
 
+from fusionrank import cli as cli_module
+
 TAILS_30 = {
     "vertices": [
         {"genus": 0, "legs": []},
@@ -196,6 +198,23 @@ def test_graph_rank_oracle(cli, tmp_path):
     assert doc == {"rank": "15", "oracle": "15", "agree": True}
 
 
+def test_graph_rank_oracle_guard_runs_before_the_engine(tmp_path, monkeypatch, capsys):
+    # 20 loops over two labels make 2^20 oracle labelings, past the guard
+    path = tmp_path / "loops20.json"
+    path.write_text(json.dumps(
+        {"vertices": [{"genus": 0, "legs": []}], "edges": [[0, 0]] * 20}
+    ))
+    engine_calls = []
+    monkeypatch.setattr(
+        cli_module, "rank_graph", lambda *args: engine_calls.append(args) or 0
+    )
+    assert cli_module.main(["graph-rank", "--graph", str(path), "--oracle"]) == 3
+    out, err = capsys.readouterr()
+    assert engine_calls == []
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_graph_rank_unstable_file(cli, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(
@@ -257,6 +276,17 @@ def test_output_to_file(cli, tmp_path):
     assert proc.returncode == 0
     assert proc.stdout == ""
     assert out.read_text() == "15\n"
+
+
+def test_internal_error_is_exit_4_without_traceback(cli):
+    # 1500 legs overflow the recursive engine; a crash must not read as
+    # exit 1, which means a verified disagreement
+    for method in ("clutch", "tails"):
+        proc = cli("rank", "--genus", "1", "--npoints", "1500", "--method", method)
+        assert proc.returncode == 4, method
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: internal: ")
+        assert proc.stderr.count("\n") == 1
 
 
 def test_usage_errors(cli):

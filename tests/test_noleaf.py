@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionrank import (
@@ -10,6 +10,7 @@ from fusionrank import (
     PreconditionError,
     SimpleGraph,
     closed_rank,
+    count_noleaf_bruteforce,
     count_noleaf_subgraphs,
     load_simple_graph,
     moebius_ladder,
@@ -103,7 +104,40 @@ def test_enumeration_guard():
     edges = tuple((0, 1) for _ in range(25))
     graph = SimpleGraph(2, edges)
     with pytest.raises(EnumerationLimitError):
-        count_noleaf_subgraphs(graph)
+        count_noleaf_bruteforce(graph)
+
+
+def test_many_parallel_edges_are_counted():
+    # past the oracle's edge cap the frontier stays two vertices wide;
+    # every subset except the 25 single edges avoids leaves
+    graph = SimpleGraph(2, tuple((0, 1) for _ in range(25)))
+    assert count_noleaf_subgraphs(graph) == 2**25 - 25
+
+
+def test_frontier_width_guard():
+    # any edge order of K_13 has all 13 vertices on the frontier at once
+    pairs = tuple((i, j) for i in range(13) for j in range(i + 1, 13))
+    with pytest.raises(EnumerationLimitError, match="frontier of 13 vertices"):
+        count_noleaf_subgraphs(SimpleGraph(13, pairs))
+
+
+@st.composite
+def multigraphs(draw):
+    """Graphs on 0..8 vertices with 0..16 edges; parallel edges and isolated
+    vertices come up often at this size."""
+    n = draw(st.integers(0, 8))
+    if n < 2:
+        return SimpleGraph(n, ())
+    # an edge is a start vertex and an offset of 1..n-1, so never a loop
+    edge = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
+    pairs = draw(st.lists(edge, max_size=16))
+    return SimpleGraph(n, tuple((u, (u + d) % n) for u, d in pairs))
+
+
+@settings(deadline=None)
+@given(multigraphs())
+def test_frontier_count_matches_enumeration(graph):
+    assert count_noleaf_subgraphs(graph) == count_noleaf_bruteforce(graph)
 
 
 def test_load_simple_graph():
