@@ -3,9 +3,8 @@
 Exit codes: 0 for success or agreement, 1 for a verified disagreement,
 2 for usage, configuration or input-document errors, 3 for a
 computation precondition failure (unstable configuration, enumeration
-limit, unknown label), 4 for an internal error (any other exception,
-such as a recursion overflow), reported as one ``error: internal:``
-line instead of a traceback.
+limit, unknown label), 4 for an internal error (any other exception),
+reported as one ``error: internal:`` line instead of a traceback.
 
 Output is deterministic: rows are emitted in grid order regardless of
 --jobs, integers are rendered as decimal strings in JSON, and booleans

@@ -5,14 +5,19 @@ triples with zero entries omitted, so full permutation symmetry holds by
 construction.  ``validate`` checks the remaining ring axioms and returns
 violations as data rather than raising, which lets callers report every
 problem in a user-supplied table at once.
+
+``FusionData.matrices`` derives the integer fusion matrices
+``N_a[b][c] = n3(a, b, dual c)`` and the handle operator
+``H = sum_l N_l N_{dual l}`` from the table, once per ring instance.
+The rank engine and the associativity check both work on them.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import product
-from typing import Iterator, Mapping
+from functools import cached_property
+from typing import Iterator
 
 from .errors import FormatError, UnknownLabelError
 
@@ -39,10 +44,6 @@ class FusionData:
     vacuum: Label
     dual: dict[Label, Label]
     table: dict[Triple, int]
-    # scratch space for rank computations, scoped to this ring instance
-    _memo: dict = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
     _label_set: frozenset = field(
         init=False, repr=False, compare=False, default=frozenset()
     )
@@ -84,6 +85,86 @@ class FusionData:
     def nonzero_triples(self) -> Iterator[tuple[Triple, int]]:
         """Nonzero table entries in sorted triple order."""
         return iter(sorted(self.table.items()))
+
+    @cached_property
+    def matrices(self) -> "FusionMatrices":
+        """The fusion matrices of this ring, built on first use.
+
+        Needs a total dual map whose values are labels (``validate``
+        checks that); the result has about L^3 entries and never grows.
+        """
+        return FusionMatrices.build(self)
+
+
+# a sparse integer matrix: per row, the (column, entry) pairs with entry != 0
+SparseMatrix = tuple[tuple[tuple[int, int], ...], ...]
+
+
+def _sparse(dense: list[list[int]]) -> SparseMatrix:
+    return tuple(
+        tuple((c, v) for c, v in enumerate(row) if v) for row in dense
+    )
+
+
+def _dense(row: tuple[tuple[int, int], ...], count: int) -> list[int]:
+    x = [0] * count
+    for c, v in row:
+        x[c] = v
+    return x
+
+
+def _times(x: list[int], matrix: SparseMatrix) -> list[int]:
+    # row vector times sparse matrix
+    out = [0] * len(x)
+    for b, xb in enumerate(x):
+        if xb:
+            for c, v in matrix[b]:
+                out[c] += xb * v
+    return out
+
+
+@dataclass(frozen=True)
+class FusionMatrices:
+    """A ring's fusion matrices over label indices in document order.
+
+    ``fusion[a]`` is ``N_a`` with ``N_a[b][c] = n3(a, b, dual c)``, and
+    ``handle`` is ``H = sum_l N_l N_{dual l}``, the operator one handle
+    (a clutched pair of points with labels l and dual l, summed over l)
+    applies.  ``index`` maps labels to indices and ``dual`` maps an index
+    to its dual's index.
+    """
+
+    index: dict[Label, int]
+    vacuum: int
+    dual: tuple[int, ...]
+    fusion: tuple[SparseMatrix, ...]
+    handle: SparseMatrix
+
+    @classmethod
+    def build(cls, ring: FusionData) -> "FusionMatrices":
+        labels = ring.labels
+        index = {a: i for i, a in enumerate(labels)}
+        dual_labels = [ring.dual[c] for c in labels]
+        table = ring.table
+        fusion = tuple(
+            _sparse(
+                [
+                    [table.get(_key(a, b, dc), 0) for dc in dual_labels]
+                    for b in labels
+                ]
+            )
+            for a in labels
+        )
+        dual = tuple(index[d] for d in dual_labels)
+        count = len(labels)
+        handle = [[0] * count for _ in range(count)]
+        for lam in range(count):
+            n_lam, n_dual = fusion[lam], fusion[dual[lam]]
+            for b in range(count):
+                for c, v in n_lam[b]:
+                    for d, w in n_dual[c]:
+                        handle[b][d] += v * w
+        return cls(index, index[ring.vacuum], dual, fusion, _sparse(handle))
 
 
 def builtin_g2_level1() -> FusionData:
@@ -131,8 +212,8 @@ def validate(ring: FusionData) -> ValidationReport:
 
     Structural problems (duplicate labels, a partial dual map, unknown
     labels in the table) suppress the semantic checks that would need
-    the structure to be sound.  Associativity is checked by exhausting
-    quadruples, so this is meant for small rings.
+    the structure to be sound.  Associativity is checked on every
+    quadruple of labels, through products of the fusion matrices.
     """
     out: list[Violation] = []
     labels = ring.labels
@@ -245,24 +326,27 @@ def validate(ring: FusionData) -> ValidationReport:
                     )
                 )
 
-    for a, b, c, d in product(labels, repeat=4):
-        lhs = sum(
-            ring.n3(a, b, ring.dual[e]) * ring.n3(e, c, ring.dual[d])
-            for e in labels
-        )
-        rhs = sum(
-            ring.n3(b, c, ring.dual[e]) * ring.n3(a, e, ring.dual[d])
-            for e in labels
-        )
-        if lhs != rhs:
-            out.append(
-                Violation(
-                    "associativity",
-                    (a, b, c, d),
-                    f"associativity fails at ({a!r}, {b!r}, {c!r}, {d!r}):"
-                    f" {lhs} != {rhs}",
-                )
-            )
+    # (a b) c = a (b c) as operators: row c of sum_e N_ab^e N_e, against
+    # row c of N_b N_a; n3 is symmetric, so N_e[c] = N_c[e]
+    m = ring.matrices
+    count = len(labels)
+    for a in range(count):
+        for b in range(count):
+            ab = _dense(m.fusion[a][b], count)
+            for c in range(count):
+                lhs = _times(ab, m.fusion[c])
+                rhs = _times(_dense(m.fusion[b][c], count), m.fusion[a])
+                for d in range(count):
+                    if lhs[d] != rhs[d]:
+                        la, lb, lc, ld = labels[a], labels[b], labels[c], labels[d]
+                        out.append(
+                            Violation(
+                                "associativity",
+                                (la, lb, lc, ld),
+                                f"associativity fails at ({la!r}, {lb!r}, {lc!r},"
+                                f" {ld!r}): {lhs[d]} != {rhs[d]}",
+                            )
+                        )
 
     return ValidationReport(tuple(out))
 

@@ -1,17 +1,21 @@
 """Conformal-blocks rank computations over a finite fusion ring.
 
-The genus-0 recursion is the workhorse: every higher-genus or nodal rank
-reduces to it by summing label assignments over clutched point pairs or
-graph edges.  All arithmetic is exact integer arithmetic.
+One engine serves genus 0, smooth curves and dual graphs: the ring's
+integer fusion matrices ``N_a[b][c] = n3(a, b, dual c)`` and its handle
+operator ``H = sum_l N_l N_{dual l}`` (``FusionData.matrices``).  The
+rank on a smooth genus-g curve with weights w1..wn is the vacuum entry
+of ``e_0 N_{w1} ... N_{wn} H^g``, the Verlinde/TQFT form of the
+factorization rules.  A dual graph sums, over labelings of its non-loop
+edges, the product of such vacuum entries per vertex; a loop is one more
+handle.  Every loop is iterative, nothing is cached beyond the matrices,
+and all arithmetic is exact integer arithmetic.
 
 ``rank_bruteforce`` is an independent oracle: it rewrites vertex genus
-as explicit loops and runs a genus-0 recursion that fuses the trailing
-pair of weights, so it shares no recursion path or cache with the main
-engine.  Agreement between the two is a meaningful check, not a tautology.
-
-Memoization is scoped per ring instance and keyed on weight multisets;
-entries are immutable results of pure functions, so concurrent readers
-are safe and at worst repeat work.
+as explicit loops, labels every edge, and computes genus-0 ranks by
+fusing the trailing pair of weights through ``ring.n3``.  It reads only
+``ring.n3`` and ``ring.dual`` and shares no code or data with the
+matrices, so agreement between the two is a meaningful check, not a
+tautology.
 """
 
 from __future__ import annotations
@@ -27,10 +31,12 @@ from .errors import (
     PreconditionError,
     StabilityError,
 )
-from .fusion import FusionData, Label
+from .fusion import FusionData, Label, _times
 
 # exhaustive labelings beyond this many combinations are refused
 BRUTE_FORCE_LIMIT = 10**6
+# rank_graph refuses graphs with more labelings of non-loop edges than this
+GRAPH_LABELING_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -189,117 +195,103 @@ def drop_vacua(ring: FusionData, weights) -> tuple[Label, ...]:
     return tuple(w for w in ws if w != ring.vacuum)
 
 
+def _indices(ring: FusionData, weights) -> list[int]:
+    index = ring.matrices.index
+    out = []
+    for w in weights:
+        i = index.get(w)
+        if i is None:
+            ring.require_label(w)
+        out.append(i)
+    return out
+
+
+def _vertex_vector(ring: FusionData, weights: list[int], handles: int) -> list[int]:
+    # e_0 N_{w1} ... N_{wn} H^handles, over label indices
+    m = ring.matrices
+    x = [0] * len(m.dual)
+    x[m.vacuum] = 1
+    for w in weights:
+        x = _times(x, m.fusion[w])
+    for _ in range(handles):
+        x = _times(x, m.handle)
+    return x
+
+
 def rank_genus0(ring: FusionData, weights) -> int:
     """Rank of the blocks bundle on a rational curve with the given weights.
 
-    The empty list is allowed (rank 1).  Recursion fuses a pair of
-    weights through the 3-point table; results are cached per ring on
-    the weight multiset.
+    The empty list is allowed (rank 1).  The rank is the vacuum entry of
+    ``e_0 N_{w1} ... N_{wn}``: one sparse vector-matrix product per
+    weight, with no recursion and no cache.
     """
-    ws = tuple(weights)
-    _check_labels(ring, ws)
-    return _rank0_sorted(ring, tuple(sorted(ws)))
-
-
-def _rank0_sorted(ring: FusionData, ws: tuple[Label, ...]) -> int:
-    # ws must be sorted; the multiset is the cache key
-    m = len(ws)
-    if m == 0:
-        return 1
-    if m == 1:
-        return 1 if ws[0] == ring.vacuum else 0
-    if m == 2:
-        return 1 if ws[1] == ring.dual_of(ws[0]) else 0
-    if m == 3:
-        return ring.n3(*ws)
-    cached = ring._memo.get(ws)
-    if cached is not None:
-        return cached
-    first, second = ws[0], ws[1]
-    rest = ws[2:]
-    total = 0
-    for lam in ring.labels:
-        c = ring.n3(first, second, lam)
-        if c:
-            reduced = tuple(sorted(rest + (ring.dual_of(lam),)))
-            total += c * _rank0_sorted(ring, reduced)
-    ring._memo[ws] = total
-    return total
+    x = _vertex_vector(ring, _indices(ring, weights), 0)
+    return x[ring.matrices.vacuum]
 
 
 def rank_smooth(ring: FusionData, genus: int, weights) -> int:
     """Rank on a smooth genus-g curve with the given marked weights.
 
-    Reduces to genus 0 by summing over one label pair per handle.  The
-    (genus, marks) configuration must be stable, so (0, 0), (0, 1),
-    (0, 2) and (1, 0) are rejected.
+    The vacuum entry of ``e_0 N_{w1} ... N_{wn} H^g``: each handle sums
+    over one clutched label pair.  The (genus, marks) configuration must
+    be stable, so (0, 0), (0, 1), (0, 2) and (1, 0) are rejected.
     """
     if not isinstance(genus, int) or isinstance(genus, bool) or genus < 0:
         raise PreconditionError(f"genus must be a nonnegative int, got {genus!r}")
-    ws = tuple(weights)
-    _check_labels(ring, ws)
+    ws = _indices(ring, weights)
     if 2 * genus - 2 + len(ws) <= 0:
         raise StabilityError(
             f"(g, n) = ({genus}, {len(ws)}) is not a stable configuration"
         )
-    if genus == 0:
-        return rank_genus0(ring, ws)
-    total = 0
-    for assignment in product(ring.labels, repeat=genus):
-        extended = ws
-        for lam in assignment:
-            extended = extended + (lam, ring.dual_of(lam))
-        total += rank_genus0(ring, extended)
-    return total
-
-
-def _vertex_roles(graph: DualGraph, flipped_edges=frozenset()):
-    # per vertex: (edge index, role) with role "both" for loops,
-    # "lam" on the lower-index side and "dual" on the other
-    roles = [[] for _ in graph.vertices]
-    for ei, (u, v) in enumerate(graph.edges):
-        if u == v:
-            roles[u].append((ei, "both"))
-            continue
-        lo, hi = (u, v) if u < v else (v, u)
-        if ei in flipped_edges:
-            lo, hi = hi, lo
-        roles[lo].append((ei, "lam"))
-        roles[hi].append((ei, "dual"))
-    return roles
+    return _vertex_vector(ring, ws, genus)[ring.matrices.vacuum]
 
 
 def rank_graph(ring: FusionData, graph: DualGraph) -> int:
     """Rank attached to a stable dual graph.
 
-    Sums over all edge labelings the product of smooth-vertex ranks,
-    where an edge contributes its label to one side and the dual label
-    to the other (for loops, both to the same vertex).  Which side gets
-    the label is immaterial because the sum ranges over all labelings;
-    the convention here hands it to the lower vertex index.
+    Sums over all labelings of the non-loop edges the product of
+    smooth-vertex ranks, where an edge contributes its label to one side
+    and the dual label to the other.  Which side gets the label is
+    immaterial because the sum ranges over all labelings; the convention
+    here hands it to the lower vertex index.  A loop contributes a label
+    and its dual to the same vertex, summed over labels, which is one
+    more handle ``H``; so loops are not enumerated.
+
+    A graph with more than GRAPH_LABELING_LIMIT labelings of its
+    non-loop edges is refused before any work.
     """
-    for vertex in graph.vertices:
-        _check_labels(ring, vertex.legs)
-    return _rank_graph_oriented(ring, graph, frozenset())
+    links = [(u, v) for u, v in graph.edges if u != v]
+    work = len(ring.labels) ** len(links)
+    if work > GRAPH_LABELING_LIMIT:
+        raise EnumerationLimitError(
+            f"{work} edge labelings exceed the limit of {GRAPH_LABELING_LIMIT}"
+        )
+    handles = [vertex.genus for vertex in graph.vertices]
+    for u, v in graph.edges:
+        if u == v:
+            handles[u] += 1
+    bases = [
+        _vertex_vector(ring, _indices(ring, vertex.legs), handles[i])
+        for i, vertex in enumerate(graph.vertices)
+    ]
 
+    # per vertex: (link position, whether it takes the dual label)
+    roles = [[] for _ in graph.vertices]
+    for pos, (u, v) in enumerate(links):
+        roles[min(u, v)].append((pos, False))
+        roles[max(u, v)].append((pos, True))
+    plan = list(zip(bases, roles))
 
-def _rank_graph_oriented(ring, graph, flipped_edges) -> int:
-    roles = _vertex_roles(graph, flipped_edges)
+    m = ring.matrices
+    fusion, dual, vacuum = m.fusion, m.dual, m.vacuum
     total = 0
-    for labeling in product(ring.labels, repeat=len(graph.edges)):
+    for labeling in product(range(len(ring.labels)), repeat=len(links)):
         term = 1
-        for vi, vertex in enumerate(graph.vertices):
-            ws = list(vertex.legs)
-            for ei, role in roles[vi]:
-                lam = labeling[ei]
-                if role == "both":
-                    ws.append(lam)
-                    ws.append(ring.dual_of(lam))
-                elif role == "lam":
-                    ws.append(lam)
-                else:
-                    ws.append(ring.dual_of(lam))
-            r = rank_smooth(ring, vertex.genus, ws)
+        for x, vertex_roles in plan:
+            for pos, takes_dual in vertex_roles:
+                lam = labeling[pos]
+                x = _times(x, fusion[dual[lam] if takes_dual else lam])
+            r = x[vacuum]
             if r == 0:
                 term = 0
                 break
@@ -323,14 +315,35 @@ def check_bruteforce_limit(ring: FusionData, graph: DualGraph) -> None:
         )
 
 
+def _vertex_roles(graph: DualGraph):
+    # per vertex: (edge index, role) with role "both" for loops,
+    # "lam" on the lower-index side and "dual" on the other
+    roles = [[] for _ in graph.vertices]
+    for ei, (u, v) in enumerate(graph.edges):
+        if u == v:
+            roles[u].append((ei, "both"))
+            continue
+        lo, hi = (u, v) if u < v else (v, u)
+        roles[lo].append((ei, "lam"))
+        roles[hi].append((ei, "dual"))
+    return roles
+
+
 def rank_bruteforce(ring: FusionData, graph: DualGraph) -> int:
     """Independent oracle for rank_graph.
 
     Rewrites every vertex of positive genus as a genus-0 vertex with
     that many extra loops, then enumerates all labelings of the enlarged
-    edge set.  The genus-0 ranks are computed by a recursion that fuses
-    the trailing weight pair and caches on exact tuples, deliberately
-    disjoint from the sorted-multiset cache of the main engine.
+    edge set.  The genus-0 ranks fuse the trailing weight pair through
+    ``ring.n3``, iteratively; none of this touches the engine's matrices.
+
+    Each vertex keeps, for the length of one call, the rank of every
+    labeling of its own edges (a list of |labels| ** its edge ends,
+    filled on first use) and the prefix maps of the last weight tuple it
+    fused.  Its edge labelings first appear in lexicographic order, so
+    each new tuple shares with the last one the longest prefix it shares
+    with any earlier one, and memory stays at that list plus one chain
+    of maps however many tuples are fused.
     """
     check_bruteforce_limit(ring, graph)
     for vertex in graph.vertices:
@@ -342,23 +355,33 @@ def rank_bruteforce(ring: FusionData, graph: DualGraph) -> int:
     )
     flat = DualGraph(flat_vertices, graph.edges + loop_edges)
 
-    roles = _vertex_roles(flat)
-    memo: dict[tuple[Label, ...], int] = {}
+    labels = ring.labels
+    duals = [ring.dual_of(lam) for lam in labels]
+    base = len(labels)
+    plan = []
+    for vertex, vertex_roles in zip(flat.vertices, _vertex_roles(flat)):
+        ranks = [None] * base ** len(vertex_roles)
+        plan.append((vertex.legs, vertex_roles, ranks, []))
     total = 0
-    for labeling in product(ring.labels, repeat=len(flat.edges)):
+    for labeling in product(range(base), repeat=len(flat.edges)):
         term = 1
-        for vi, vertex in enumerate(flat.vertices):
-            ws = list(vertex.legs)
-            for ei, role in roles[vi]:
-                lam = labeling[ei]
-                if role == "both":
-                    ws.append(lam)
-                    ws.append(ring.dual_of(lam))
-                elif role == "lam":
-                    ws.append(lam)
-                else:
-                    ws.append(ring.dual_of(lam))
-            r = _rank0_lastpair(ring, tuple(ws), memo)
+        for legs, vertex_roles, ranks, chain in plan:
+            key = 0
+            for ei, _ in vertex_roles:
+                key = key * base + labeling[ei]
+            r = ranks[key]
+            if r is None:
+                ws = list(legs)
+                for ei, role in vertex_roles:
+                    lam = labeling[ei]
+                    if role == "both":
+                        ws.append(labels[lam])
+                        ws.append(duals[lam])
+                    elif role == "lam":
+                        ws.append(labels[lam])
+                    else:
+                        ws.append(duals[lam])
+                r = ranks[key] = _rank0_lastpair(ring, ws, chain)
             if r == 0:
                 term = 0
                 break
@@ -367,27 +390,39 @@ def rank_bruteforce(ring: FusionData, graph: DualGraph) -> int:
     return total
 
 
-def _rank0_lastpair(ring, ws, memo) -> int:
-    # genus-0 recursion fusing the trailing pair; cache key is the exact tuple
-    m = len(ws)
-    if m == 0:
+def _rank0_lastpair(ring, ws, chain) -> int:
+    # genus-0 rank fusing the trailing pair, iteratively.  chain[j] holds
+    # (w_j, {t: rank(w_0..w_j, t)}) for the tuple of the previous call with
+    # the same chain; entries on the prefix shared with ws are kept and
+    # the rest are rebuilt one weight at a time
+    if not ws:
         return 1
-    if m == 1:
-        return 1 if ws[0] == ring.vacuum else 0
-    if m == 2:
-        return 1 if ws[1] == ring.dual_of(ws[0]) else 0
-    if m == 3:
-        return ring.n3(*ws)
-    cached = memo.get(ws)
-    if cached is not None:
-        return cached
-    a, b = ws[-2], ws[-1]
-    total = 0
-    for lam in ring.labels:
-        c = ring.n3(a, b, lam)
-        if c:
-            total += c * _rank0_lastpair(
-                ring, ws[:-2] + (ring.dual_of(lam),), memo
-            )
-    memo[ws] = total
-    return total
+    last = len(ws) - 1
+    k = 0
+    while k < min(len(chain), last) and chain[k][0] == ws[k]:
+        k += 1
+    del chain[k:]
+    ranks = chain[-1][1] if chain else _prefix_ranks(ring, ws, 0, None)
+    for j in range(k, last):
+        ranks = _prefix_ranks(ring, ws, j + 1, ranks)
+        chain.append((ws[j], ranks))
+    return ranks[ws[last]]
+
+
+def _prefix_ranks(ring, ws, j, parent) -> dict:
+    # {t: rank(ws[:j] + (t,))}, given parent = the same map for ws[:j - 1];
+    # past three weights, fusing the trailing pair (a, t) into lam gives
+    # rank(p + (a, t)) = sum_lam n3(a, t, lam) rank(p + (dual lam,))
+    if j == 0:
+        return {t: int(t == ring.vacuum) for t in ring.labels}
+    if j == 1:
+        d = ring.dual_of(ws[0])
+        return {t: int(t == d) for t in ring.labels}
+    if j == 2:
+        return {t: ring.n3(ws[0], ws[1], t) for t in ring.labels}
+    a = ws[j - 1]
+    reduced = [(lam, parent[ring.dual_of(lam)]) for lam in ring.labels]
+    reduced = [(lam, r) for lam, r in reduced if r]
+    return {
+        t: sum(r * ring.n3(a, t, lam) for lam, r in reduced) for t in ring.labels
+    }

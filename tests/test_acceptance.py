@@ -94,7 +94,7 @@ def test_04_degenerations(g2):
             if n + g >= 3:
                 assert rank_graph(g2, tails_graph(g, n)) == smooth, (g, n)
     elapsed = time.perf_counter() - start
-    assert elapsed < 5.0, f"degenerations took {elapsed:.2f}s, budget is 5s"
+    assert elapsed < 1.0, f"degenerations took {elapsed:.2f}s, budget is 1s"
 
 
 @criterion(5, "oracle equivalence on random stable graphs")

@@ -1,6 +1,8 @@
 import json
+import time
 
 from fusionrank import cli as cli_module
+from fusionrank import ranks as ranks_module
 
 TAILS_30 = {
     "vertices": [
@@ -278,15 +280,80 @@ def test_output_to_file(cli, tmp_path):
     assert out.read_text() == "15\n"
 
 
-def test_internal_error_is_exit_4_without_traceback(cli):
-    # 1500 legs overflow the recursive engine; a crash must not read as
-    # exit 1, which means a verified disagreement
-    for method in ("clutch", "tails"):
-        proc = cli("rank", "--genus", "1", "--npoints", "1500", "--method", method)
-        assert proc.returncode == 4, method
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("error: internal: ")
-        assert proc.stderr.count("\n") == 1
+def test_internal_error_is_exit_4_without_traceback(monkeypatch, capsys):
+    # a crash must not read as exit 1, which means a verified disagreement
+    def crash(*args):
+        raise RuntimeError("engine\nfailure")
+
+    monkeypatch.setattr(cli_module, "rank_smooth", crash)
+    argv = ["rank", "--genus", "1", "--npoints", "3", "--method", "clutch"]
+    assert cli_module.main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: internal: RuntimeError: engine failure\n"
+
+
+def test_large_leg_counts_match_closed(capsys):
+    # 1500 legs once overflowed the recursive engine
+    for g in (1, 2, 3):
+        argv = ["rank", "--genus", str(g), "--npoints", "1500"]
+        assert cli_module.main(argv + ["--method", "closed"]) == 0
+        expected = capsys.readouterr()
+        for method in ("clutch", "tails"):
+            assert cli_module.main(argv + ["--method", method]) == 0, (g, method)
+            assert capsys.readouterr() == expected, (g, method)
+
+
+def test_graph_rank_oracle_many_legs(tmp_path, capsys):
+    # the oracle's genus-0 routine is iterative, so 1500 legs do not
+    # overflow the stack
+    path = tmp_path / "legs1500.json"
+    path.write_text(json.dumps(
+        {"vertices": [{"genus": 0, "legs": ["mu"] * 1500}], "edges": []}
+    ))
+    assert cli_module.main(["graph-rank", "--graph", str(path), "--oracle"]) == 0
+    out, err = capsys.readouterr()
+    assert out.endswith(" OK\n") and err == ""
+
+
+def test_graph_rank_loops_are_handles(tmp_path, capsys):
+    # 25 loops on one vertex are 25 handles, not 2^25 labelings
+    path = tmp_path / "loops25.json"
+    path.write_text(json.dumps(
+        {"vertices": [{"genus": 0, "legs": []}], "edges": [[0, 0]] * 25}
+    ))
+    start = time.perf_counter()
+    assert cli_module.main(["graph-rank", "--graph", str(path)]) == 0
+    elapsed = time.perf_counter() - start
+    out, _ = capsys.readouterr()
+    argv = ["rank", "--genus", "25", "--npoints", "0", "--method", "clutch"]
+    assert cli_module.main(argv) == 0
+    assert capsys.readouterr().out == out
+    assert elapsed < 1.0, f"25 loops took {elapsed:.2f}s"
+
+
+def test_graph_rank_engine_guard_runs_before_any_labeling(
+    tmp_path, monkeypatch, capsys
+):
+    # 21 parallel edges over two labels make 2^21 > 10^6 edge labelings
+    path = tmp_path / "parallel21.json"
+    path.write_text(json.dumps(
+        {"vertices": [{"genus": 0, "legs": []}, {"genus": 0, "legs": []}],
+         "edges": [[0, 1]] * 21}
+    ))
+    enumerated = []
+    monkeypatch.setattr(
+        ranks_module, "product", lambda *args, **kw: enumerated.append(args) or iter(())
+    )
+    for argv in (
+        ["graph-rank", "--graph", str(path)],
+        ["rank", "--method", "graph", "--graph", str(path)],
+    ):
+        assert cli_module.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert enumerated == []
 
 
 def test_usage_errors(cli):

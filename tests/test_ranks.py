@@ -1,4 +1,6 @@
 import random
+import time
+from itertools import permutations
 
 import pytest
 from hypothesis import given
@@ -13,6 +15,7 @@ from fusionrank import (
     PreconditionError,
     StabilityError,
     UnknownLabelError,
+    closed_rank,
     clutch_graph,
     drop_vacua,
     fib,
@@ -23,7 +26,7 @@ from fusionrank import (
     rank_smooth,
     tails_graph,
 )
-from fusionrank.ranks import _rank0_lastpair, _rank_graph_oriented
+from fusionrank.ranks import _rank0_lastpair
 
 g2_weight_lists = st.lists(st.sampled_from(("0", "mu")), max_size=10)
 
@@ -76,19 +79,23 @@ def test_split_order_independence(g2):
     # leading-pair engine on every list, not just sorted ones
     for m in range(21):
         ws = tuple(["mu"] * m)
-        assert rank_genus0(g2, ws) == _rank0_lastpair(g2, ws, {})
+        assert rank_genus0(g2, ws) == _rank0_lastpair(g2, ws, [])
+    # one chain across calls: each tuple reuses the prefix it shares with the last
+    chain = []
     rng = random.Random(1405)
     for _ in range(200):
         ws = tuple(rng.choice(("0", "mu")) for _ in range(rng.randint(0, 12)))
-        assert rank_genus0(g2, ws) == _rank0_lastpair(g2, ws, {}), ws
+        assert rank_genus0(g2, ws) == _rank0_lastpair(g2, ws, chain), ws
 
 
 def test_split_order_independence_z4():
     ring = make_zn_ring(4)
     rng = random.Random(77)
+    chain = []
     for _ in range(100):
         ws = tuple(rng.choice(ring.labels) for _ in range(rng.randint(0, 8)))
-        assert rank_genus0(ring, ws) == _rank0_lastpair(ring, ws, {}), ws
+        assert rank_genus0(ring, ws) == _rank0_lastpair(ring, ws, []), ws
+        assert rank_genus0(ring, ws) == _rank0_lastpair(ring, ws, chain), ws
 
 
 # -- smooth curves ---------------------------------------------------
@@ -190,17 +197,24 @@ def test_rank_graph_matches_smooth_on_both_families(g2):
 
 
 def test_rank_graph_edge_orientation_is_immaterial():
-    # a ring with a non-self-dual label makes orientation visible
+    # a ring with a non-self-dual label makes orientation visible; the
+    # engine hands an edge's label to its lower endpoint, so permuting the
+    # vertex indices of one graph flips which side gets the label
     ring = make_zn_ring(3)
     vertices = (
         GraphVertex(0, (ring.labels[1],) * 3),
         GraphVertex(1, ()),
         GraphVertex(0, (ring.labels[2],) * 3),
     )
-    graph = DualGraph(vertices, ((0, 1), (1, 2), (0, 2), (1, 1)))
-    base = rank_graph(ring, graph)
-    for flips in [{0}, {1}, {2}, {0, 1}, {0, 1, 2}, {2, 3}]:
-        assert _rank_graph_oriented(ring, graph, frozenset(flips)) == base, flips
+    edges = ((0, 1), (1, 2), (0, 2), (1, 1))
+    base = rank_graph(ring, DualGraph(vertices, edges))
+    assert base == rank_bruteforce(ring, DualGraph(vertices, edges)) > 0
+    for perm in permutations(range(3)):
+        moved = [None] * 3
+        for old, new in enumerate(perm):
+            moved[new] = vertices[old]
+        graph = DualGraph(tuple(moved), tuple((perm[u], perm[v]) for u, v in edges))
+        assert rank_graph(ring, graph) == base, perm
 
 
 def test_rank_graph_unknown_leg_label(g2):
@@ -246,6 +260,33 @@ def test_bruteforce_agrees_on_random_graphs_z3():
     for _ in range(10):
         graph = random_stable_graph(rng, labels=ring.labels)
         assert rank_bruteforce(ring, graph) == rank_graph(ring, graph), graph
+
+
+@pytest.mark.parametrize(
+    "ring_name,seed,count", [("g2", 2718, 120), ("z3", 31415, 60)]
+)
+def test_factorization_invariant(g2, ring_name, seed, count):
+    # a graph's rank is the smooth rank at its total genus with all legs,
+    # an exact check on graphs far past the brute-force guard
+    ring = g2 if ring_name == "g2" else make_zn_ring(3)
+    rng = random.Random(seed)
+    for _ in range(count):
+        graph = random_stable_graph(
+            rng, labels=ring.labels, max_vertices=5, max_extra_edges=4,
+            max_genus=6,
+        )
+        legs = [w for vertex in graph.vertices for w in vertex.legs]
+        assert rank_graph(ring, graph) == rank_smooth(
+            ring, graph.total_genus, legs
+        ), graph
+
+
+def test_rank_smooth_far_past_recursion_depth(g2):
+    start = time.perf_counter()
+    r = rank_smooth(g2, 2000, ["mu"] * 3000)
+    elapsed = time.perf_counter() - start
+    assert r == closed_rank(2000, 3000)
+    assert elapsed < 1.0, f"g = 2000, n = 3000 took {elapsed:.2f}s"
 
 
 def test_bruteforce_size_guard(g2):
